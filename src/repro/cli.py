@@ -415,7 +415,6 @@ def cmd_serve(arguments: argparse.Namespace) -> int:
         journal=arguments.journal, manifest_out=arguments.manifest_out,
         event_log=arguments.event_log,
         event_log_max_bytes=arguments.event_log_max_bytes,
-        trace_requests=not arguments.no_request_tracing,
         verdict_cache_bytes=(0 if arguments.no_verdict_cache
                              else arguments.verdict_cache_bytes),
         quota_rps=arguments.quota_rps,
@@ -699,11 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=4 * 1024 * 1024,
                          help="rotate the event log to PATH.1 past this "
                               "size (default 4 MiB)")
-    p_serve.add_argument("--no-request-tracing", action="store_true",
-                         dest="no_request_tracing",
-                         help="disable per-request span trees and "
-                              "timelines (trace endpoints answer with "
-                              "empty documents)")
     p_serve.add_argument("--verdict-cache-bytes", type=int,
                          dest="verdict_cache_bytes",
                          default=32 * 1024 * 1024,

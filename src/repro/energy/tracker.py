@@ -300,38 +300,6 @@ class EnergyTracker:
 
     # -- results ----------------------------------------------------------
 
-    def publish_metrics(self, registry) -> None:
-        """Publish per-component totals into an observability registry.
-
-        Gauges ``energy_component_pj{component=...}`` (including the
-        injected ``noise`` term when active) plus ``energy_total_pj`` and
-        ``cycles_simulated``, and counters
-        ``energy_component_events{component=...}`` / ``cycles`` so rates
-        stay computable after aggregation (counter merges add, keeping the
-        snapshot merge associative); called by the harness runner once per
-        run when the observability sink is enabled, never from the
-        per-cycle path.
-        """
-        component_gauge = registry.gauge(
-            "energy_component_pj",
-            "per-component energy total of the run (pJ)")
-        event_counter = registry.counter(
-            "energy_component_events",
-            "per-component event count of the run (accesses/operations)")
-        for name in COMPONENTS:
-            component_gauge.add(self.totals[name], component=name)
-            event_counter.inc(self.counts[name], component=name)
-        if self.totals.get("noise"):
-            component_gauge.add(self.totals["noise"], component="noise")
-            event_counter.inc(self.counts["noise"], component="noise")
-        registry.gauge("energy_total_pj",
-                       "total energy of the run (pJ)") \
-            .add(self.total_energy_pj)
-        registry.gauge("cycles_simulated",
-                       "simulated cycles").add(self.cycles)
-        registry.counter("cycles", "simulated cycles (summable)") \
-            .inc(self.cycles)
-
     @property
     def total_energy_pj(self) -> float:
         return sum(self.totals.values())

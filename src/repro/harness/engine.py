@@ -435,33 +435,16 @@ def execute_job(job: SimJob) -> JobResult:
 def _execute_job_inner(job: SimJob) -> JobResult:
     from .runner import run_with_trace
 
-    observing = obs.enabled()
     start = time.perf_counter()
-    cache_hit = None
-    program = job.program
-    if isinstance(program, CompileRequest):
+    if isinstance(job.program, CompileRequest):
         with obs.span("compile", cipher=job.program.cipher,
                       masking=job.program.masking):
-            cache = default_cache()
-            hits_before = cache.stats.hits
-            program = cache.program_for(job.program)
-            cache_hit = cache.stats.hits > hits_before
-        if observing:
-            obs.counter("compile_cache_lookups",
-                        "compile cache resolutions by outcome") \
-                .inc(result="hit" if cache_hit else "miss")
-    elif observing:
-        obs.counter("jobs_prebuilt",
-                    "jobs that shipped a prebuilt program").inc()
-    inputs = dict(job.inputs) if job.inputs else {}
-    if job.des_pair is not None:
-        from ..programs.workloads import key_words, plaintext_words
-
-        key64, plaintext64 = job.des_pair
-        inputs["key"] = key_words(key64)
-        if "plaintext" in program.symbols:
-            inputs["plaintext"] = plaintext_words(plaintext64)
-    run = run_with_trace(program, inputs=inputs or None, params=job.params,
+            program, cache_hit = _resolve_program(job)
+    else:
+        program, cache_hit = _resolve_program(job)
+    _book_program_lookup(cache_hit)
+    run = run_with_trace(program, inputs=job_inputs(job, program) or None,
+                         params=job.params,
                          collect_components=job.collect_components,
                          label=job.label, max_cycles=job.max_cycles,
                          noise_sigma=job.noise_sigma,
@@ -476,6 +459,43 @@ def _execute_job_inner(job: SimJob) -> JobResult:
                      cache_hit=cache_hit,
                      counts=dict(run.tracker.counts),
                      engine=run.engine)
+
+
+def job_inputs(job: SimJob, program: Program) -> dict[str, list[int]]:
+    """The job's symbol inputs, ``des_pair`` expanded to key/plaintext."""
+    inputs = dict(job.inputs) if job.inputs else {}
+    if job.des_pair is not None:
+        from ..programs.workloads import key_words, plaintext_words
+
+        key64, plaintext64 = job.des_pair
+        inputs["key"] = key_words(key64)
+        if "plaintext" in program.symbols:
+            inputs["plaintext"] = plaintext_words(plaintext64)
+    return inputs
+
+
+def _resolve_program(job: SimJob) -> tuple[Program, Optional[bool]]:
+    """The job's program image and whether the compile cache hit
+    (``None`` for a prebuilt program)."""
+    if not isinstance(job.program, CompileRequest):
+        return job.program, None
+    cache = default_cache()
+    hits_before = cache.stats.hits
+    program = cache.program_for(job.program)
+    return program, cache.stats.hits > hits_before
+
+
+def _book_program_lookup(cache_hit: Optional[bool]) -> None:
+    """Count one job's program resolution (observability sink enabled)."""
+    if not obs.enabled():
+        return
+    if cache_hit is None:
+        obs.counter("jobs_prebuilt",
+                    "jobs that shipped a prebuilt program").inc()
+    else:
+        obs.counter("compile_cache_lookups",
+                    "compile cache resolutions by outcome") \
+            .inc(result="hit" if cache_hit else "miss")
 
 
 def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
@@ -548,16 +568,15 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
                 _chained(done, total)
 
     with obs_progress.active(reporter):
+        results = None
         if checkpoint is None and job_timeout is None:
-            native = _try_batch_native(batch, progress)
-            if native is not None:
-                if reporter is not None:
-                    reporter.finish()
-                return native
-        results = execute_batch(list(batch), jobs=jobs, progress=progress,
-                                failure_policy=failure_policy,
-                                retries=retries, job_timeout=job_timeout,
-                                checkpoint=checkpoint)
+            results = _try_batch_native(batch, progress)
+        if results is None:
+            results = execute_batch(batch, jobs=jobs, progress=progress,
+                                    failure_policy=failure_policy,
+                                    retries=retries,
+                                    job_timeout=job_timeout,
+                                    checkpoint=checkpoint)
     _merge_observability(results)
     if reporter is not None:
         reporter.finish()
@@ -571,23 +590,20 @@ def _try_batch_native(batch: Sequence[SimJob],
 
     Returns submission-ordered :class:`JobResult` lists, or ``None`` when
     the batch must go through the per-job path: fewer than two jobs,
-    observability/attribution enabled (those need per-job scopes and
-    spans), mixed engines, an engine with no ``batch`` hook, jobs that
-    disagree on the energy model or run limits, distinct program images,
-    or the engine itself declining (divergence, unsupported program).
-    Per-trace seeds, labels, and input pairs may vary freely — that is
-    the batch shape DPA produces.
+    attribution enabled (it needs the hooked per-cycle engine), mixed
+    engines, an engine with no ``batch`` hook, jobs that disagree on the
+    energy model or run limits, distinct program images, or the engine
+    itself declining (divergence, unsupported program).  Per-trace seeds,
+    labels, and input pairs may vary freely — that is the batch shape DPA
+    produces.  A traced batch records one ``batch`` span in place of
+    per-job ``job``/``compile``/``execute`` spans.
     """
     from ..machine import engines as engine_registry
     from .resilience import FAULT_PLAN_ENV
 
     if len(batch) < 2:
         return None
-    if obs.enabled() or obs.attribution_enabled():
-        return None
-    if any(job.observe or job.attribute for job in batch):
-        # Per-request tracing travels on the jobs themselves; those need
-        # per-job scopes and spans, which the batch hook cannot record.
+    if obs.attribution_enabled() or any(job.attribute for job in batch):
         return None
     if os.environ.get(FAULT_PLAN_ENV):
         # Deterministic fault injection targets per-job execution; keep
@@ -610,22 +626,17 @@ def _try_batch_native(batch: Sequence[SimJob],
                 or job.collect_components != job0.collect_components
                 or job.max_cycles != job0.max_cycles):
             return None
-    cache_hit = None
-    programs = []
-    for job in batch:
-        if isinstance(job.program, CompileRequest):
-            cache = default_cache()
-            hits_before = cache.stats.hits
-            programs.append(cache.program_for(job.program))
-            if cache_hit is None:
-                cache_hit = cache.stats.hits > hits_before
-        else:
-            programs.append(job.program)
-    program = programs[0]
-    if any(other is not program for other in programs[1:]):
+    lookups = [_resolve_program(job) for job in batch]
+    program = lookups[0][0]
+    if any(other is not program for other, _hit in lookups[1:]):
         return None
-    results = spec.batch(batch, program, cache_hit)
-    if results is not None and progress is not None:
+    with obs.span("batch", engine=spec.name, traces=len(batch)):
+        results = spec.batch(batch, program, lookups[0][1])
+    if results is None:
+        return None
+    for _program, cache_hit in lookups:
+        _book_program_lookup(cache_hit)
+    if progress is not None:
         total = len(batch)
         for done in range(total):
             progress(done + 1, total)

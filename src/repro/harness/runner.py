@@ -7,7 +7,7 @@ from typing import Optional
 from .. import obs
 from ..energy.params import DEFAULT_PARAMS, EnergyParams
 from ..energy.trace import EnergyTrace
-from ..energy.tracker import EnergyTracker
+from ..energy.tracker import COMPONENTS, EnergyTracker
 from ..isa.program import Program
 from ..machine import engines, fastpath
 from ..machine.cpu import CPU
@@ -162,38 +162,63 @@ def _run_with_trace_once(program, inputs, params, collect_components,
             overrun.label = label
             raise
     if observing:
-        _publish_run_metrics(cpu, tracker)
+        publish_run_metrics(cpu.pipeline.stats, cpu.pipeline.opcode_mix,
+                            tracker.totals, tracker.counts, tracker.cycles)
     if attribution is not None:
         attribution.annotate(program)
         obs.attribution().merge(attribution)
     return RunResult(cpu, tracker, label=label, engine=reported)
 
 
-def _publish_run_metrics(cpu: CPU, tracker: EnergyTracker) -> None:
-    """Post-run metric publication (observability sink enabled only)."""
+def publish_run_metrics(stats: dict, mix: dict, totals: dict[str, float],
+                        counts: dict[str, int], cycles: int) -> None:
+    """Publish one finished run's pipeline and energy metrics.
+
+    The single publication point for both dispatch paths: the per-job
+    runner passes its pipeline and tracker, the vector batch engine one
+    call per trace in submission order, so gauges add in the same order
+    either way.
+    """
     registry = obs.registry()
-    pipeline = cpu.pipeline
     executed = registry.counter(
         "instructions_executed",
         "retired instructions by opcode and secure bit")
-    for (op, secure), count in sorted(pipeline.opcode_mix.items()):
+    for (op, secure), count in sorted(mix.items()):
         executed.inc(count, opcode=op, secure=secure)
+    secure_retired = stats["secure_retired"]
     registry.counter("instructions_retired",
                      "retired instructions by secure bit") \
-        .inc(pipeline.secure_retired, secure=True)
+        .inc(secure_retired, secure=True)
     registry.counter("instructions_retired") \
-        .inc(pipeline.retired - pipeline.secure_retired, secure=False)
+        .inc(stats["retired"] - secure_retired, secure=False)
     registry.counter("stall_cycles", "pipeline stalls by cause") \
-        .inc(pipeline.stall_cycles, reason="load_use")
+        .inc(stats["stall_cycles"], reason="load_use")
     registry.counter("squashed_instructions",
                      "instructions squashed by cause") \
-        .inc(pipeline.squashed_instructions, reason="redirect")
-    taken = pipeline.branches_taken
+        .inc(stats["squashed_instructions"], reason="redirect")
+    taken = stats["branches_taken"]
     registry.counter("branches_executed", "branches by outcome") \
         .inc(taken, outcome="taken")
     registry.counter("branches_executed") \
-        .inc(pipeline.branches_executed - taken, outcome="not_taken")
-    tracker.publish_metrics(registry)
+        .inc(stats["branches_executed"] - taken, outcome="not_taken")
+    # Energy gauges add as per-run totals; the event counters and the
+    # summable ``cycles`` twin keep rates computable after aggregation.
+    component_gauge = registry.gauge(
+        "energy_component_pj",
+        "per-component energy total of the run (pJ)")
+    event_counter = registry.counter(
+        "energy_component_events",
+        "per-component event count of the run (accesses/operations)")
+    for name in COMPONENTS:
+        component_gauge.add(totals[name], component=name)
+        event_counter.inc(counts[name], component=name)
+    if totals.get("noise"):
+        component_gauge.add(totals["noise"], component="noise")
+        event_counter.inc(counts["noise"], component="noise")
+    registry.gauge("energy_total_pj", "total energy of the run (pJ)") \
+        .add(sum(totals.values()))
+    registry.gauge("cycles_simulated", "simulated cycles").add(cycles)
+    registry.counter("cycles", "simulated cycles (summable)").inc(cycles)
 
 
 def des_run(program: Program, key64: int, plaintext64: int,

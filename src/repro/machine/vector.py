@@ -72,6 +72,9 @@ _MAX_BATCH_BYTES = 1 << 30
 #: The tracker draws Gaussian noise in chunks of this size; replaying the
 #: same chunking reproduces its stream draw-for-draw.
 _NOISE_CHUNK = 4096
+#: Rows per block when summing energy columns: bounds the summing
+#: temporary instead of a second full ``[n_cycles, n_traces]`` matrix.
+_TOTAL_BLOCK_ROWS = 1024
 
 
 class VectorUnsupported(ScheduleUnavailable):
@@ -571,7 +574,8 @@ class _BatchRun:
 
 
 class _BatchEnergy:
-    """Per-cycle, per-trace energy plus exact sequential totals."""
+    """Per-cycle, per-trace energy plus exact sequential totals (the
+    ``fun``/``dbus``/``lat`` matrices only when components are kept)."""
 
     __slots__ = ("cycles", "e_clock", "total", "fun", "dbus", "lat",
                  "col_ibus", "col_regfile", "col_memport", "col_secure",
@@ -585,6 +589,19 @@ class _BatchEnergy:
         totals["noise"] = 0.0
         return {name: totals[name] for name in COMPONENTS} \
             | {"noise": 0.0}
+
+    def trace_for(self, t: int, counts: dict[str, int],
+                  draws: Optional[np.ndarray]) -> tuple:
+        """Trace ``t``'s energy vector, totals and event counts, with the
+        noise ``draws`` (``None`` when noiseless) added in."""
+        trace = self.total[:, t].copy()
+        totals = self.totals_for(t)
+        counts = dict(counts, noise=0)
+        if draws is not None:
+            trace += draws
+            totals["noise"] = float(np.cumsum(draws)[-1])
+            counts["noise"] = draws.size
+        return trace, totals, counts
 
     def components_for(self, t: int) -> np.ndarray:
         comp = np.empty((self.cycles, len(COMPONENTS)))
@@ -761,8 +778,51 @@ def _transition_energy(values: np.ndarray, secure: np.ndarray):
     return _popcount(np.bitwise_and(values, np.invert(prev)))
 
 
+def _dbus_energy(plan: _VectorPlan, params, out: np.ndarray,
+                 loads: np.ndarray, n: int) -> np.ndarray:
+    """Per-cycle data-bus energy ``[n_cycles, n_traces]``; the bus-value
+    temporaries die with this frame, before the totals are summed."""
+    if params.c_coupling > 0:
+        dbus_model = CoupledBusModel(params.event_energy_data_bus,
+                                     params.event_energy_coupling,
+                                     params.width)
+    else:
+        dbus_model = BusModel(params.event_energy_data_bus, params.width)
+    dbus = np.zeros((plan.cycles, n))
+    if plan.mem_cycles.size:
+        bus = plan.bus_gather.materialize(out, loads, n)
+        sec_m = plan.mem_sec
+        prev = _prev_chain(bus, sec_m)
+        rising = np.bitwise_and(bus, np.invert(prev))
+        coupling = getattr(dbus_model, "coupling_event_energy", 0.0)
+        normal = _popcount(rising) * dbus_model.event_energy
+        if coupling:
+            falling = np.bitwise_and(np.invert(bus), prev)
+            maskw = np.uint32((1 << (params.width - 1)) - 1)
+            switching = rising | falling
+            exactly_one = (switching ^ (switching >> np.uint32(1))) & maskw
+            opposite = ((rising & (falling >> np.uint32(1)))
+                        | (falling & (rising >> np.uint32(1)))) & maskw
+            events = _popcount(exactly_one) + 2 * _popcount(opposite)
+            normal = normal + events * coupling
+            falling64 = _spread64(np.invert(bus)) \
+                | (_spread64(bus) << np.uint64(1))
+            mask2w = np.uint64((1 << (2 * params.width - 1)) - 1)
+            sec_events = _popcount(
+                (falling64 ^ (falling64 >> np.uint64(1))) & mask2w)
+            secure_e = dbus_model.base_secure_energy \
+                + (2 * sec_events) * coupling
+        else:
+            secure_base = dbus_model.base_secure_energy \
+                if isinstance(dbus_model, CoupledBusModel) \
+                else dbus_model.secure_energy
+            secure_e = secure_base
+        dbus[plan.mem_cycles] = np.where(sec_m[:, None], secure_e, normal)
+    return dbus
+
+
 def _energy_postpass(plan: _VectorPlan, params, run: _BatchRun,
-                     ) -> _BatchEnergy:
+                     keep_components: bool) -> _BatchEnergy:
     """Score the batch: per-cycle ``[n_cycles, n_traces]`` energy, with
     every float addition in the reference engine's order (see module
     docstring for why this is bit-identical)."""
@@ -776,12 +836,6 @@ def _energy_postpass(plan: _VectorPlan, params, run: _BatchRun,
     e_mem = params.e_memory_access
     e_latch = params.event_energy_latch
     ibus = BusModel(params.event_energy_instr_bus, params.width)
-    if params.c_coupling > 0:
-        dbus_model = CoupledBusModel(params.event_energy_data_bus,
-                                     params.event_energy_coupling,
-                                     params.width)
-    else:
-        dbus_model = BusModel(params.event_energy_data_bus, params.width)
     unit_models = {
         1: FunctionalUnitModel(params.event_energy_alu,
                                1.5 * params.event_energy_alu, params.width),
@@ -819,71 +873,33 @@ def _energy_postpass(plan: _VectorPlan, params, run: _BatchRun,
     # ---- pipeline latches (latch 0 + dual-rail latches 1..3) -----------
     lat = np.empty((n_cycles, n))
     lat[:] = col_l0[:, None]
-    na = plan.na_gather.materialize(out, loads, n)
-    nb = plan.nb_gather.materialize(out, loads, n)
-    nst = plan.nst_gather.materialize(out, loads, n)
-    ev1 = (_popcount(np.bitwise_and(na, np.invert(
-        _prev_chain(na, plan.col_s1))))
-        + _popcount(np.bitwise_and(nb, np.invert(
-            _prev_chain(nb, plan.col_s1))))
-        + _popcount(np.bitwise_and(nst, np.invert(
-            _prev_chain(nst, plan.col_s1)))))
-    lat += np.where(plan.col_s1[:, None], latch_secure[1], ev1 * e_latch)
-    stv = plan.st_gather.materialize(out, loads, n)
-    ev2 = (_transition_energy(out, plan.col_s2)
-           + _transition_energy(stv, plan.col_s2))
-    lat += np.where(plan.col_s2[:, None], latch_secure[2], ev2 * e_latch)
-    wbv = plan.wbv_gather.materialize(out, loads, n)
-    ev3 = _transition_energy(wbv, plan.col_s3)
-    lat += np.where(plan.col_s3[:, None], latch_secure[3], ev3 * e_latch)
+
+    def rising(gather: _Gather, secure: np.ndarray) -> np.ndarray:
+        # The gathered operand matrix dies here, once scored: concurrent
+        # batches make these transients the memory peak.
+        return _transition_energy(gather.materialize(out, loads, n), secure)
+
+    s1, s2, s3 = plan.col_s1, plan.col_s2, plan.col_s3
+    events = (rising(plan.na_gather, s1) + rising(plan.nb_gather, s1)
+              + rising(plan.nst_gather, s1))
+    lat += np.where(s1[:, None], latch_secure[1], events * e_latch)
+    events = _transition_energy(out, s2) + rising(plan.st_gather, s2)
+    lat += np.where(s2[:, None], latch_secure[2], events * e_latch)
+    events = rising(plan.wbv_gather, s3)
+    lat += np.where(s3[:, None], latch_secure[3], events * e_latch)
 
     # ---- functional units ----------------------------------------------
     fun = np.zeros((n_cycles, n))
     for unit, (cyc_u, sec_u, a_gather, b_gather) in plan.units.items():
         model = unit_models[unit]
-        a_u = a_gather.materialize(out, loads, n)
-        b_u = b_gather.materialize(out, loads, n)
-        o_u = out[cyc_u]
-        rising = (_popcount(np.bitwise_and(a_u, np.invert(
-            _prev_chain(a_u, sec_u))))
-            + _popcount(np.bitwise_and(b_u, np.invert(
-                _prev_chain(b_u, sec_u))))
-            + _popcount(np.bitwise_and(o_u, np.invert(
-                _prev_chain(o_u, sec_u)))))
+        events = (rising(a_gather, sec_u) + rising(b_gather, sec_u)
+                  + _transition_energy(out[cyc_u], sec_u))
         fun[cyc_u] = np.where(sec_u[:, None], model.secure_energy,
-                              rising * model.static_event_energy)
+                              events * model.static_event_energy)
+    del events
 
     # ---- data bus -------------------------------------------------------
-    dbus = np.zeros((n_cycles, n))
-    if plan.mem_cycles.size:
-        bus = plan.bus_gather.materialize(out, loads, n)
-        sec_m = plan.mem_sec
-        prev = _prev_chain(bus, sec_m)
-        rising = np.bitwise_and(bus, np.invert(prev))
-        coupling = getattr(dbus_model, "coupling_event_energy", 0.0)
-        normal = _popcount(rising) * dbus_model.event_energy
-        if coupling:
-            falling = np.bitwise_and(np.invert(bus), prev)
-            maskw = np.uint32((1 << (params.width - 1)) - 1)
-            switching = rising | falling
-            exactly_one = (switching ^ (switching >> np.uint32(1))) & maskw
-            opposite = ((rising & (falling >> np.uint32(1)))
-                        | (falling & (rising >> np.uint32(1)))) & maskw
-            events = _popcount(exactly_one) + 2 * _popcount(opposite)
-            normal = normal + events * coupling
-            falling64 = _spread64(np.invert(bus)) \
-                | (_spread64(bus) << np.uint64(1))
-            mask2w = np.uint64((1 << (2 * params.width - 1)) - 1)
-            sec_events = _popcount(
-                (falling64 ^ (falling64 >> np.uint64(1))) & mask2w)
-            secure_e = dbus_model.base_secure_energy \
-                + (2 * sec_events) * coupling
-        else:
-            secure_base = dbus_model.base_secure_energy \
-                if isinstance(dbus_model, CoupledBusModel) \
-                else dbus_model.secure_energy
-            secure_e = secure_base
-        dbus[plan.mem_cycles] = np.where(sec_m[:, None], secure_e, normal)
+    dbus = _dbus_energy(plan, params, out, loads, n)
 
     # ---- total, in the reference end_cycle's addition order -------------
     base = e_clock + col_ibus
@@ -911,13 +927,24 @@ def _energy_postpass(plan: _VectorPlan, params, run: _BatchRun,
         "memport": float(np.cumsum(col_memport)[-1]),
         "secure": float(np.cumsum(col_secure)[-1]),
     }
-    energy.fun = fun.copy()
-    energy.dbus = dbus.copy()
-    energy.lat = lat.copy()
-    energy.fun_totals = np.cumsum(fun, axis=0, out=fun)[-1].copy()
-    energy.dbus_totals = np.cumsum(dbus, axis=0, out=dbus)[-1].copy()
-    energy.lat_totals = np.cumsum(lat, axis=0, out=lat)[-1].copy()
+    if keep_components:
+        energy.fun, energy.dbus, energy.lat = fun, dbus, lat
+    energy.fun_totals = _sequential_total(fun)
+    energy.dbus_totals = _sequential_total(dbus)
+    energy.lat_totals = _sequential_total(lat)
     return energy
+
+
+def _sequential_total(x: np.ndarray) -> np.ndarray:
+    """Column totals in row order, bit for bit ``np.cumsum(x, axis=0)[-1]``
+    (the scalar engines' running sums, not a pairwise sum), built one row
+    block at a time instead of as a second full matrix."""
+    total = 0.0
+    for start in range(0, x.shape[0], _TOTAL_BLOCK_ROWS):
+        part = x[start:start + _TOTAL_BLOCK_ROWS].copy()
+        part[0] += total
+        total = np.cumsum(part, axis=0, out=part)[-1].copy()
+    return total
 
 
 def _noise_draws(rng, sigma: float, count: int) -> np.ndarray:
@@ -935,26 +962,6 @@ def _noise_draws(rng, sigma: float, count: int) -> np.ndarray:
 # Whole-batch entry point (engine registry `batch` hook)
 # ---------------------------------------------------------------------------
 
-def _batch_inputs(program: Program, job) -> Optional[list]:
-    """Normalize one job's symbol inputs to ``(address, words)`` pairs;
-    ``None`` when a symbol is unknown (scalar path raises canonically)."""
-    inputs = dict(job.inputs) if job.inputs else {}
-    if job.des_pair is not None:
-        from ..programs.workloads import key_words, plaintext_words
-
-        key64, plaintext64 = job.des_pair
-        inputs["key"] = key_words(key64)
-        if "plaintext" in program.symbols:
-            inputs["plaintext"] = plaintext_words(plaintext64)
-    pairs = []
-    for symbol, words in inputs.items():
-        try:
-            pairs.append((program.address_of(symbol), list(words)))
-        except KeyError:
-            return None
-    return pairs
-
-
 def run_job_batch(jobs, program: Program,
                   cache_hit: Optional[bool] = None) -> Optional[list]:
     """Execute a homogeneous batch of SimJobs in one vector pass.
@@ -963,8 +970,12 @@ def run_job_batch(jobs, program: Program,
     cannot be vector-served (no schedule, divergence, unsupported model,
     working set too large) — the caller then falls back to per-job
     execution, where the registry's fallback chain applies per trace.
+    With the observability sink enabled, each trace's run metrics are
+    published in submission order, exactly as the per-job path would.
     """
-    from ..harness.engine import JobResult
+    from .. import obs
+    from ..harness.engine import JobResult, job_inputs
+    from ..harness.runner import publish_run_metrics
 
     job0 = jobs[0]
     n = len(jobs)
@@ -978,16 +989,18 @@ def run_job_batch(jobs, program: Program,
         return None
     if plan.bytes_per_trace * n > _MAX_BATCH_BYTES:
         return None
-    inputs_list = []
-    for job in jobs:
-        pairs = _batch_inputs(program, job)
-        if pairs is None:
-            return None
-        inputs_list.append(pairs)
+    try:
+        inputs_list = [[(program.address_of(symbol), list(words))
+                        for symbol, words in job_inputs(job, program).items()]
+                       for job in jobs]
+    except KeyError:
+        return None  # unknown symbol: the per-job path raises canonically
     try:
         run = _execute(program, plan, n, inputs_list,
                        job0.operand_isolation)
-        energy = _energy_postpass(plan, job0.params, run)
+        energy = _energy_postpass(
+            plan, job0.params, run,
+            any(job.collect_components for job in jobs))
     except ScheduleFallback:
         # Divergence is already marked; the per-job retry will route the
         # whole batch through the scalar engines.
@@ -996,16 +1009,9 @@ def run_job_batch(jobs, program: Program,
     sigma = job0.noise_sigma
     results = []
     for t, job in enumerate(jobs):
-        trace = energy.total[:, t].copy()
-        totals = energy.totals_for(t)
-        counts = dict(schedule.counts)
-        counts["noise"] = 0
-        if sigma > 0:
-            rng = np.random.default_rng(job.noise_seed)
-            draws = _noise_draws(rng, sigma, plan.cycles)
-            trace += draws
-            totals["noise"] = float(np.cumsum(draws)[-1])
-            counts["noise"] = plan.cycles
+        draws = _noise_draws(np.random.default_rng(job.noise_seed), sigma,
+                             plan.cycles) if sigma > 0 else None
+        trace, totals, counts = energy.trace_for(t, schedule.counts, draws)
         components = energy.components_for(t) \
             if job.collect_components else None
         results.append(JobResult(
@@ -1014,8 +1020,12 @@ def run_job_batch(jobs, program: Program,
             components=components, cache_hit=cache_hit,
             counts=counts, engine="vector"))
     wall = (time.perf_counter() - start) / n
+    observing = obs.enabled()
     for result in results:
         result.wall_time_s = wall
+        if observing:
+            publish_run_metrics(schedule.stats, schedule.mix, result.totals,
+                                result.counts, result.cycles)
     return results
 
 
@@ -1148,11 +1158,9 @@ class VectorCPU:
                        self._operand_isolation, want_state=True)
         tracker = self._tracker
         if tracker is not None:
-            energy = _energy_postpass(plan, tracker.params, run)
-            trace = energy.total[:, 0].copy()
-            totals = energy.totals_for(0)
-            counts = dict(schedule.counts)
-            counts["noise"] = 0
+            energy = _energy_postpass(plan, tracker.params, run,
+                                      tracker.collect_components)
+            draws = None
             if tracker.noise_sigma > 0:
                 # Drain the tracker's own pre-drawn buffer + rng so the
                 # stream matches the reference draw-for-draw.
@@ -1162,9 +1170,8 @@ class VectorCPU:
                      _noise_draws(tracker._noise_rng, tracker.noise_sigma,
                                   max(0, plan.cycles - buffered.size))]
                 )[:plan.cycles]
-                trace += draws
-                totals["noise"] = float(np.cumsum(draws)[-1])
-                counts["noise"] = plan.cycles
+            trace, totals, counts = energy.trace_for(0, schedule.counts,
+                                                     draws)
             components = list(energy.components_for(0)) \
                 if tracker.collect_components else []
             tracker.commit_fastpath(

@@ -90,9 +90,6 @@ class ServiceConfig:
     manifest_out: Optional[Union[str, Path]] = None
     #: Completed records kept for status queries.
     history_limit: int = 1024
-    #: Record a per-request span tree + timeline (request tracing).
-    #: Off, requests still get IDs and timelines, but no span trees.
-    trace_requests: bool = True
     #: Structured JSONL event-log path (None = no event log).
     event_log: Optional[Union[str, Path]] = None
     #: Event-log rotation threshold in bytes.
@@ -458,19 +455,16 @@ class LeakageService:
         def on_event(event: str, **detail) -> None:
             self._transition(event, record, **detail)
 
-        kwargs = dict(cache=self.cache, jobs=self.config.jobs,
-                      retries=self.config.retries,
-                      job_timeout=self.config.job_timeout,
-                      chunk_size=self.config.chunk_size,
-                      deadline_monotonic=deadline, cancel=self._cancel,
-                      on_event=on_event)
-        if not self.config.trace_requests:
-            return execute_assessment(request, **kwargs)
         attribute = request.attribution
         with obs.scope(force=True, attribution=attribute) as scoped:
             try:
-                return execute_assessment(request, observe=True,
-                                          attribute=attribute, **kwargs)
+                return execute_assessment(
+                    request, cache=self.cache, jobs=self.config.jobs,
+                    retries=self.config.retries,
+                    job_timeout=self.config.job_timeout,
+                    chunk_size=self.config.chunk_size,
+                    deadline_monotonic=deadline, cancel=self._cancel,
+                    observe=True, attribute=attribute, on_event=on_event)
             finally:
                 self._capture_trace(record, scoped, attribute)
 

@@ -290,7 +290,7 @@ class RequestRecord:
     #: Lifecycle marks: ``{"event", "t_s" (relative to submission),
     #: "ts" (wall clock), **detail}`` in occurrence order.
     timeline: list = field(default_factory=list, compare=False)
-    #: Request-scoped span forest (request tracing enabled only).
+    #: Request-scoped span forest (None until the request has run).
     spans: Optional[list] = field(default=None, compare=False)
     #: Whether the span forest was compacted into an aggregated frame
     #: tree to bound history memory (see ``ServiceConfig.span_tree_limit``).

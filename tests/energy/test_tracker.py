@@ -193,20 +193,27 @@ def test_counts_track_events_per_component():
 
 
 def test_publish_metrics_counts_and_cycles():
-    from repro.obs.registry import MetricsRegistry, snapshot_totals
+    from repro import obs
+    from repro.harness.runner import publish_run_metrics
+    from repro.obs.registry import snapshot_totals
 
-    _, tracker = tracked_run("nop\nnop\nhalt\n")
-    registry = MetricsRegistry()
-    tracker.publish_metrics(registry)
+    cpu, tracker = tracked_run("nop\nnop\nhalt\n")
+
+    def published():
+        with obs.scope() as scoped:
+            publish_run_metrics(cpu.pipeline.stats, cpu.pipeline.opcode_mix,
+                                tracker.totals, tracker.counts,
+                                tracker.cycles)
+        return scoped.registry
+
+    registry = published()
     totals = snapshot_totals(registry.snapshot())
     assert totals["cycles"] == tracker.cycles
     assert totals["cycles_simulated"] == tracker.cycles
     assert totals["energy_component_events{component=clock}"] \
         == tracker.cycles
     # Counter merges add: two runs' snapshots aggregate associatively.
-    other = MetricsRegistry()
-    tracker.publish_metrics(other)
-    registry.merge_snapshot(other.snapshot())
+    registry.merge_snapshot(published().snapshot())
     merged = snapshot_totals(registry.snapshot())
     assert merged["cycles"] == 2 * tracker.cycles
     assert merged["energy_component_events{component=clock}"] \

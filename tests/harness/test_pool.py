@@ -206,9 +206,10 @@ def test_shutdown_is_idempotent_and_acquire_after_is_private():
 
 def test_run_jobs_batches_share_one_warm_pool():
     """Two consecutive parallel batches: the second must lease the warm
-    generation instead of forking a fresh pool, bit-identically."""
-    first = run_jobs(_jobs(), jobs=2)
-    second = run_jobs(_jobs(), jobs=2)
+    generation instead of forking a fresh pool, bit-identically.  Pinned
+    to the per-job engine: a vector batch never leases the pool."""
+    first = run_jobs(_jobs(), jobs=2, engine="fast")
+    second = run_jobs(_jobs(), jobs=2, engine="fast")
     for a, b in zip(first, second):
         assert (a.energy == b.energy).all()
     stats = pool_module.pool_stats()

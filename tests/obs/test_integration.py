@@ -5,6 +5,7 @@ surface (``--manifest`` / ``--metrics-out`` / ``obs summarize``)."""
 import json
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.harness.engine import (CompileRequest, SimJob, execute_job,
@@ -70,8 +71,9 @@ def test_enabled_sink_energy_bit_identical():
     assert observed.metrics is not None  # but the sink did collect
 
 
-def test_job_metrics_cover_instruction_mix_and_energy(obs_on):
-    run_jobs(_batch())
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_job_metrics_cover_instruction_mix_and_energy(obs_on, engine):
+    run_jobs(_batch(), engine=engine)
     totals = obs.snapshot_totals(obs_on.registry.snapshot())
     secure_ops = [name for name in totals
                   if name.startswith("instructions_executed{")
@@ -91,35 +93,43 @@ def test_job_metrics_cover_instruction_mix_and_energy(obs_on):
     assert lookups.total() == 3
 
 
-def test_parallel_merge_is_deterministic():
-    """jobs=1 and jobs=2 must aggregate to identical metrics and span
-    shapes — merge happens in submission order, not completion order."""
-    contexts = {}
+def _observed_run(engine, workers):
+    """Registry snapshot (minus :data:`_NONDETERMINISTIC`) and span tree
+    of one observed run of :func:`_batch`."""
     try:
         obs.enable()
-        for workers in (1, 2):
-            with obs.scope() as scoped:
-                with obs.span("batch", workers=workers):
-                    run_jobs(_batch(), jobs=workers)
-                contexts[workers] = scoped
+        with obs.scope() as scoped:
+            with obs.span("run", workers=workers):
+                run_jobs(_batch(), jobs=workers, engine=engine)
     finally:
         obs.disable()
+    snapshot = scoped.registry.snapshot()
+    for name in _NONDETERMINISTIC:
+        snapshot.pop(name, None)
+    return snapshot, scoped.tracer.tree()
 
-    snapshots = {}
-    for workers, scoped in contexts.items():
-        snapshot = scoped.registry.snapshot()
-        for name in _NONDETERMINISTIC:
-            snapshot.pop(name, None)
-        snapshots[workers] = snapshot
-    assert snapshots[1] == snapshots[2]  # exact equality, floats included
 
-    serial_tree = contexts[1].tracer.tree()
-    parallel_tree = contexts[2].tracer.tree()
-    (batch_root,) = _shape(serial_tree)
-    name, attributes, children = batch_root
-    assert name == "batch" and attributes == (("workers", 1),)
-    assert [child[0] for child in children] == ["job", "job", "job"]
-    assert [grand[0] for grand in children[0][2]] == ["compile", "execute"]
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_parallel_merge_is_deterministic(engine):
+    """jobs=1 and jobs=2 must aggregate to identical metrics and span
+    shapes — merge happens in submission order, not completion order.
+    The vector batch kernel must publish exactly what per-job dispatch
+    on the fast engine publishes."""
+    serial, serial_tree = _observed_run(engine, 1)
+    parallel, parallel_tree = _observed_run(engine, 2)
+    assert serial == parallel  # exact equality, floats included
+    assert serial == _observed_run("fast", 1)[0]
+
+    (root,) = _shape(serial_tree)
+    name, attributes, children = root
+    assert name == "run" and attributes == (("workers", 1),)
+    if engine == "fast":
+        assert [child[0] for child in children] == ["job", "job", "job"]
+        assert [grand[0] for grand in children[0][2]] \
+            == ["compile", "execute"]
+    else:
+        assert children == [
+            ("batch", (("engine", "vector"), ("traces", 3)), [])]
     # Same tree shape under the pool, modulo the workers attribute.
     (parallel_root,) = _shape(parallel_tree)
     assert parallel_root[2] == children

@@ -121,13 +121,31 @@ def test_traced_result_bit_identical_to_untraced_local(make_service):
     assert record.attribution_snapshot is not None
 
 
-def test_tracing_disabled_still_keeps_timeline(make_service):
-    service = make_service(workers=1, trace_requests=False)
-    record = service.submit(pair_payload())
-    assert record.wait(60.0) and record.state == DONE
-    assert record.spans is None
-    assert _events(record)[0] == "received"
-    assert _events(record)[-1] == "terminal"
+def test_traced_vector_request_rides_the_batch_kernel(make_service):
+    """A traced request takes the path it would run untraced: each
+    16-trace chunk is one vector batch span, never per-trace jobs."""
+    payload = population_payload(n_traces=32, engine="vector")
+    service = make_service(workers=1)
+    record = service.submit(payload)
+    assert record.wait(120.0) and record.state == DONE
+
+    def names(nodes):
+        for node in nodes:
+            yield node["name"]
+            yield from names(node.get("children", []))
+
+    chunks = [span for span in record.spans
+              if span["name"].startswith("chunk[")]
+    assert len(chunks) == 2
+    for chunk in chunks:
+        (batch,) = chunk["children"]
+        assert batch["name"] == "batch"
+        assert batch["attributes"] == {"engine": "vector", "traces": 16}
+    assert "job" not in set(names(record.spans))
+    local = execute_assessment(AssessRequest.from_dict(payload))
+    assert record.result["engines"] == {"vector": 32}
+    assert record.result["trace_digest"] == local["trace_digest"]
+    assert record.result["verdict"] == local["verdict"]
 
 
 def test_span_forest_compaction_above_limit(make_service):
